@@ -8,12 +8,9 @@ import (
 	"datanet/internal/apps"
 	"datanet/internal/cluster"
 	"datanet/internal/detect"
-	"datanet/internal/elasticmap"
 	"datanet/internal/faults"
-	"datanet/internal/gen"
 	"datanet/internal/mapreduce"
 	"datanet/internal/metrics"
-	"datanet/internal/records"
 	"datanet/internal/sched"
 )
 
@@ -56,46 +53,18 @@ func DetectorSweep(p MovieParams) (*DetectSweepResult, error) {
 	if p.Nodes <= 0 {
 		p = DefaultFaultParams()
 	}
-	const meanRecordBytes = 305
-	recs := gen.Movies(gen.MovieConfig{
-		Movies:   p.Movies,
-		Reviews:  int(p.BlockBytes) * p.Blocks / meanRecordBytes,
-		SpanDays: 365,
-		Seed:     p.Seed,
-	})
-	target := gen.MovieID(0)
-	app := apps.WordCount{}
-
-	seedFS, err := faultFS(recs, p)
+	env, err := NewMovieEnv(p)
 	if err != nil {
 		return nil, err
 	}
-	blocks, err := seedFS.Blocks("dataset.log")
-	if err != nil {
-		return nil, err
-	}
-	perBlock := make([][]records.Record, len(blocks))
-	for i, b := range blocks {
-		perBlock[i] = b.Records
-	}
-	arr := elasticmap.Build(perBlock, elasticmap.Options{
-		Alpha:        p.Alpha,
-		BucketBounds: elasticmap.ScaledFibonacciBounds(p.BlockBytes),
-	})
-	weights := make([]int64, arr.Len())
-	for _, be := range arr.Distribution(target) {
-		weights[be.Block] = be.Size
-	}
+	weights := env.EstimatedWeights(env.Target)
 
-	baseCfg := func() (mapreduce.Config, error) {
-		fs, err := faultFS(recs, p)
-		if err != nil {
-			return mapreduce.Config{}, err
-		}
+	// Crashes mutate the replica map, so every run gets its own layout.
+	baseCfg := func() mapreduce.Config {
 		return mapreduce.Config{
-			FS: fs, File: "dataset.log", TargetSub: target,
-			App: app, Picker: sched.NewLocalityPicker, ExecuteApp: true,
-		}, nil
+			FS: env.FS.Clone(), File: env.File, TargetSub: env.Target,
+			App: apps.WordCount{}, Picker: sched.NewLocalityPicker, ExecuteApp: true,
+		}
 	}
 	schedulers := []struct {
 		name  string
@@ -110,10 +79,7 @@ func DetectorSweep(p MovieParams) (*DetectSweepResult, error) {
 
 	res := &DetectSweepResult{}
 	for _, s := range schedulers {
-		cfg, err := baseCfg()
-		if err != nil {
-			return nil, err
-		}
+		cfg := baseCfg()
 		s.tweak(&cfg)
 		clean, err := mapreduce.Run(cfg)
 		if err != nil {
@@ -145,10 +111,7 @@ func DetectorSweep(p MovieParams) (*DetectSweepResult, error) {
 
 		var oracleTime float64
 		for _, a := range arms {
-			cfg, err := baseCfg()
-			if err != nil {
-				return nil, err
-			}
+			cfg := baseCfg()
 			s.tweak(&cfg)
 			cfg.Faults = plan
 			cfg.Detect = a.det

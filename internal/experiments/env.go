@@ -10,6 +10,17 @@
 // per-task durations remain comparable to 64 MB blocks on Marmot-class
 // hardware. The distributional shapes — who wins, by what factor, where
 // crossovers fall — are invariant under this scaling.
+//
+// Dataset and layout: an Env is built once per experiment call by
+// NewMovieEnv (generate → write → ElasticMap build → ground truth). Its
+// records, block split, ElasticMap array and truth are the immutable
+// dataset; the filesystem's replica map is the only part a run mutates
+// (crash repair, decommission, rebalancing moves). A driver that runs
+// several arms or fault plans over one dataset builds it once and gives
+// each run its own copy of the replica layout (Env.Clone, or FS.Clone
+// when the run needs only the filesystem); everything else is shared.
+// The shared data is read-only: no run may edit a block's Records, the
+// Truth map or the Array, since every clone and every later run sees them.
 package experiments
 
 import (
@@ -91,6 +102,16 @@ type Env struct {
 	Opts elasticmap.Options
 }
 
+// Clone returns an environment over the same dataset with its own copy of
+// the replica layout, so a run that crashes nodes or moves replicas leaves
+// e, and every other clone, as it was. Records, the ElasticMap array and
+// the ground truth are shared read-only.
+func (e *Env) Clone() *Env {
+	c := *e
+	c.FS = e.FS.Clone()
+	return &c
+}
+
 // scaledTopology builds n nodes whose rates are scaled so a block of
 // blockBytes takes as long as a 64 MiB block would on default hardware.
 func scaledTopology(n, racks int, blockBytes int64) (*cluster.Topology, error) {
@@ -163,17 +184,21 @@ func NewMovieEnv(p MovieParams) (*Env, error) {
 	if p.Nodes <= 0 {
 		p = DefaultMovieParams()
 	}
-	// Size the review count so the dataset fills ~p.Blocks blocks; the
-	// mean generated record measures ≈ 305 bytes on disk.
-	const meanRecordBytes = 305
-	reviews := int(p.BlockBytes) * p.Blocks / meanRecordBytes
-	recs := gen.Movies(gen.MovieConfig{
+	return buildEnv(movieRecords(p), p.Nodes, p.Racks, p.BlockBytes, p.Alpha, p.Seed, gen.MovieID(0))
+}
+
+// meanReviewBytes is the mean on-disk size of a generated movie review.
+const meanReviewBytes = 305
+
+// movieRecords generates the movie-review log sized to fill ~p.Blocks
+// blocks of p.BlockBytes.
+func movieRecords(p MovieParams) []records.Record {
+	return gen.Movies(gen.MovieConfig{
 		Movies:   p.Movies,
-		Reviews:  reviews,
+		Reviews:  int(p.BlockBytes) * p.Blocks / meanReviewBytes,
 		SpanDays: 365,
 		Seed:     p.Seed,
 	})
-	return buildEnv(recs, p.Nodes, p.Racks, p.BlockBytes, p.Alpha, p.Seed, gen.MovieID(0))
 }
 
 // NewEventEnv generates the GitHub-style event dataset and builds the
@@ -182,8 +207,8 @@ func NewEventEnv(p EventParams) (*Env, error) {
 	if p.Nodes <= 0 {
 		p = DefaultEventParams()
 	}
-	const meanRecordBytes = 271
-	events := int(p.BlockBytes) * p.Blocks / meanRecordBytes
+	const meanEventBytes = 271
+	events := int(p.BlockBytes) * p.Blocks / meanEventBytes
 	recs := gen.Events(gen.EventConfig{
 		Events:   events,
 		SpanDays: 120,

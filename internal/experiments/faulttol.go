@@ -9,11 +9,8 @@ import (
 	"datanet/internal/cluster"
 	"datanet/internal/elasticmap"
 	"datanet/internal/faults"
-	"datanet/internal/gen"
-	"datanet/internal/hdfs"
 	"datanet/internal/mapreduce"
 	"datanet/internal/metrics"
-	"datanet/internal/records"
 	"datanet/internal/sched"
 )
 
@@ -67,74 +64,24 @@ func DefaultFaultParams() MovieParams {
 	}
 }
 
-// faultFS builds a fresh filesystem with an identical layout on every
-// call. Crashes mutate the replica map, so each run needs its own
-// instance; determinism of (topology seed, placement seed) guarantees the
-// instances are indistinguishable.
-func faultFS(recs []records.Record, p MovieParams) (*hdfs.FileSystem, error) {
-	topo, err := scaledTopology(p.Nodes, p.Racks, p.BlockBytes)
-	if err != nil {
-		return nil, err
-	}
-	fs, err := hdfs.NewFileSystem(topo, hdfs.Config{
-		BlockSize:   p.BlockBytes,
-		Replication: hdfs.DefaultReplication,
-		Placement:   hdfs.RandomPlacement{},
-		Seed:        p.Seed,
-	})
-	if err != nil {
-		return nil, err
-	}
-	if _, err := fs.Write("dataset.log", recs); err != nil {
-		return nil, err
-	}
-	return fs, nil
-}
-
 // FaultTolerance sweeps crash count and timing across schedulers.
 func FaultTolerance(p MovieParams) (*FaultTolResult, error) {
 	if p.Nodes <= 0 {
 		p = DefaultFaultParams()
 	}
-	const meanRecordBytes = 305
-	recs := gen.Movies(gen.MovieConfig{
-		Movies:   p.Movies,
-		Reviews:  int(p.BlockBytes) * p.Blocks / meanRecordBytes,
-		SpanDays: 365,
-		Seed:     p.Seed,
-	})
-	target := gen.MovieID(0)
-	app := apps.WordCount{}
-
-	// ElasticMap weights, built once: the block split is a pure function
-	// of block size and record stream, identical across fs instances.
-	seedFS, err := faultFS(recs, p)
+	env, err := NewMovieEnv(p)
 	if err != nil {
 		return nil, err
 	}
-	blocks, err := seedFS.Blocks("dataset.log")
-	if err != nil {
-		return nil, err
-	}
-	perBlock := make([][]records.Record, len(blocks))
-	for i, b := range blocks {
-		perBlock[i] = b.Records
-	}
-	arr := elasticmap.Build(perBlock, elasticmap.Options{
-		Alpha:        p.Alpha,
-		BucketBounds: elasticmap.ScaledFibonacciBounds(p.BlockBytes),
-	})
-	weights := make([]int64, arr.Len())
-	for _, be := range arr.Distribution(target) {
-		weights[be.Block] = be.Size
-	}
+	weights := env.EstimatedWeights(env.Target)
 
-	baseCfg := func(fs *hdfs.FileSystem) mapreduce.Config {
+	// Crashes mutate the replica map, so every run gets its own layout.
+	baseCfg := func() mapreduce.Config {
 		return mapreduce.Config{
-			FS:         fs,
-			File:       "dataset.log",
-			TargetSub:  target,
-			App:        app,
+			FS:         env.FS.Clone(),
+			File:       env.File,
+			TargetSub:  env.Target,
+			App:        apps.WordCount{},
 			Picker:     sched.NewLocalityPicker,
 			ExecuteApp: true,
 		}
@@ -154,11 +101,7 @@ func FaultTolerance(p MovieParams) (*FaultTolResult, error) {
 	res := &FaultTolResult{}
 	for _, s := range schedulers {
 		// Fault-free reference run (also calibrates the crash clock).
-		fs, err := faultFS(recs, p)
-		if err != nil {
-			return nil, err
-		}
-		cfg := baseCfg(fs)
+		cfg := baseCfg()
 		s.tweak(&cfg)
 		clean, err := mapreduce.Run(cfg)
 		if err != nil {
@@ -171,11 +114,7 @@ func FaultTolerance(p MovieParams) (*FaultTolResult, error) {
 		}
 		arms := []arm{{0, 0.5}, {1, 0.5}, {2, 0.5}, {4, 0.5}, {2, 0.25}, {2, 0.75}}
 		for _, a := range arms {
-			fs, err := faultFS(recs, p)
-			if err != nil {
-				return nil, err
-			}
-			cfg := baseCfg(fs)
+			cfg := baseCfg()
 			s.tweak(&cfg)
 			plan := &faults.Plan{Seed: p.Seed}
 			at := clean.FilterEnd * a.frac
@@ -212,19 +151,11 @@ func FaultTolerance(p MovieParams) (*FaultTolResult, error) {
 	// Degraded-metadata arm: the DataNet job's ElasticMap encoding is
 	// corrupt; the run must demote itself to the locality baseline,
 	// record the fallback, and still produce the right answer.
-	fs, err := faultFS(recs, p)
+	ref, err := mapreduce.Run(baseCfg())
 	if err != nil {
 		return nil, err
 	}
-	refFS, err := faultFS(recs, p)
-	if err != nil {
-		return nil, err
-	}
-	ref, err := mapreduce.Run(baseCfg(refFS))
-	if err != nil {
-		return nil, err
-	}
-	cfg := baseCfg(fs)
+	cfg := baseCfg()
 	cfg.Picker = sched.NewDataNetPicker
 	cfg.WeightsErr = elasticmap.ErrCodec
 	fb, err := mapreduce.Run(cfg)

@@ -88,18 +88,15 @@ func sweepRebalancer(fs *hdfs.FileSystem, seed int64) *hdfs.Rebalancer {
 	})
 }
 
-// runSweepArm runs one arm: SweepJobs sequential jobs on a fresh
-// environment, with the rebalancer (when present) observing each job's
-// heat profile and ticking on the sim clock between jobs.
-func runSweepArm(p MovieParams, name string, targets []string, factory sched.Factory, rebalance bool) (SweepArm, error) {
+// runSweepArm runs one arm: SweepJobs sequential jobs on a clone of the
+// base environment's layout, with the rebalancer (when present) observing
+// each job's heat profile and ticking on the sim clock between jobs.
+func runSweepArm(base *Env, seed int64, name string, targets []string, factory sched.Factory, rebalance bool) (SweepArm, error) {
 	arm := SweepArm{Name: name}
-	env, err := NewMovieEnv(p)
-	if err != nil {
-		return arm, err
-	}
+	env := base.Clone()
 	var rb *hdfs.Rebalancer
 	if rebalance {
-		rb = sweepRebalancer(env.FS, p.Seed)
+		rb = sweepRebalancer(env.FS, seed)
 	}
 	clock := sim.NewClock()
 	for j, target := range targets {
@@ -163,12 +160,16 @@ func PlacementSweep(p MovieParams) (*PlacementSweepResult, error) {
 		{"placement-only", sched.NewLocalityPicker, true},
 		{"both", sched.NewDataNetPicker, true},
 	}
+	base, err := NewMovieEnv(p)
+	if err != nil {
+		return nil, err
+	}
 	res := &PlacementSweepResult{}
 	for _, shape := range []string{"clustered", "drifting"} {
 		wl := SweepWorkload{Name: shape}
 		targets := sweepTargets(shape)
 		for _, a := range arms {
-			arm, err := runSweepArm(p, a.name, targets, a.factory, a.rebalance)
+			arm, err := runSweepArm(base, p.Seed, a.name, targets, a.factory, a.rebalance)
 			if err != nil {
 				return nil, err
 			}

@@ -1,8 +1,13 @@
 package experiments
 
 import (
+	"reflect"
 	"strings"
 	"testing"
+
+	"datanet/internal/cluster"
+	"datanet/internal/hdfs"
+	"datanet/internal/sched"
 )
 
 // smallSweepParams keeps the sweep fast enough for unit tests while still
@@ -81,5 +86,59 @@ func TestPlacementSweepBenchExports(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("rendered sweep missing %q", want)
 		}
+	}
+}
+
+// replicaMap lists every block's replica nodes, in block order.
+func replicaMap(fs *hdfs.FileSystem) [][]cluster.NodeID {
+	out := make([][]cluster.NodeID, fs.NumBlocks())
+	for i := range out {
+		out[i] = fs.Locations(hdfs.BlockID(i))
+	}
+	return out
+}
+
+// The arms share one dataset and each runs on its own copy of the replica
+// layout: a rebalancing arm must leave the shared base layout as built,
+// so the sweep reproduces itself exactly within one process.
+func TestPlacementSweepArmsIsolated(t *testing.T) {
+	p := smallSweepParams()
+	first, err := PlacementSweep(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := PlacementSweep(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(first, second) {
+		t.Errorf("repeated sweep differs:\n%+v\n%+v", first, second)
+	}
+	if first.String() != second.String() {
+		t.Errorf("repeated sweep renders differently:\n%s\n%s", first, second)
+	}
+
+	base, err := NewMovieEnv(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := replicaMap(base.FS)
+	targets := sweepTargets("clustered")
+	arm, err := runSweepArm(base, p.Seed, "both", targets, sched.NewDataNetPicker, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if arm.Moves == 0 {
+		t.Fatal("rebalancing arm moved nothing; isolation is untested")
+	}
+	if got := replicaMap(base.FS); !reflect.DeepEqual(got, before) {
+		t.Error("rebalancing arm changed the shared base layout")
+	}
+	again, err := runSweepArm(base, p.Seed, "both", targets, sched.NewDataNetPicker, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again != arm {
+		t.Errorf("arm rerun on the shared base = %+v, want %+v", again, arm)
 	}
 }

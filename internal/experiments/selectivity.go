@@ -132,9 +132,9 @@ func WebLog(p WebLogParams) (*WebLogResult, error) {
 	if p.Nodes <= 0 {
 		p = WebLogParams{Nodes: 32, Racks: 4, Blocks: 128, BlockBytes: 256 << 10, Alpha: 0.3, Seed: 13}
 	}
-	const meanRecordBytes = 215
+	const meanRequestBytes = 215
 	recs := gen.WorldCup(gen.WorldCupConfig{
-		Requests: int(p.BlockBytes) * p.Blocks / meanRecordBytes,
+		Requests: int(p.BlockBytes) * p.Blocks / meanRequestBytes,
 		Seed:     p.Seed,
 	})
 	env, err := buildEnv(recs, p.Nodes, p.Racks, p.BlockBytes, p.Alpha, p.Seed, gen.TeamID(0))

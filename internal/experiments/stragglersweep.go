@@ -11,7 +11,6 @@ import (
 	"datanet/internal/cluster"
 	"datanet/internal/detect"
 	"datanet/internal/faults"
-	"datanet/internal/gen"
 	"datanet/internal/mapreduce"
 	"datanet/internal/metrics"
 	"datanet/internal/sched"
@@ -146,8 +145,6 @@ func StragglerSweep(scales []int, p MovieParams) (*StragglerSweepResult, error) 
 		p = DefaultFaultParams()
 	}
 	res := &StragglerSweepResult{}
-	app := apps.WordCount{}
-	const meanRecordBytes = 305
 	for _, nodes := range scales {
 		q := p
 		q.Nodes = nodes
@@ -157,57 +154,63 @@ func StragglerSweep(scales []int, p MovieParams) (*StragglerSweepResult, error) 
 		// One block per node on average (×3 replicas keeps every node busy)
 		// so the completion tail is one task wave, not queueing noise.
 		q.Blocks = nodes
-		recs := gen.Movies(gen.MovieConfig{
-			Movies:   q.Movies,
-			Reviews:  int(q.BlockBytes) * q.Blocks / meanRecordBytes,
-			SpanDays: 365,
-			Seed:     q.Seed,
-		})
-		target := gen.MovieID(0)
-		runOne := func(plan *faults.Plan, det detect.Config, mit *straggle.Config) (*mapreduce.Result, error) {
-			fs, err := faultFS(recs, q)
-			if err != nil {
-				return nil, err
-			}
-			return mapreduce.Run(mapreduce.Config{
-				FS: fs, File: "dataset.log", TargetSub: target,
-				App: app, Picker: sched.NewLocalityPicker, ExecuteApp: true,
-				Faults: plan, Detect: det, Mitigate: mit,
-			})
-		}
-		healthy, err := runOne(nil, detect.Config{}, nil)
+		env, err := NewMovieEnv(q)
 		if err != nil {
-			return nil, fmt.Errorf("straggler sweep healthy %d nodes: %w", nodes, err)
+			return nil, err
 		}
-		detectors := []struct {
-			name string
-			det  detect.Config
-		}{
-			{"oracle", detect.Config{}},
-			{"heartbeat", detect.Config{Mode: detect.Heartbeat, Interval: healthy.FilterEnd * 0.02}},
+		rows, err := stragglerScale(env, q.Seed)
+		if err != nil {
+			return nil, err
 		}
-		for _, pl := range stragglerPlans(nodes, healthy.FilterEnd, q.Seed) {
-			for _, d := range detectors {
-				for _, arm := range stragglerArms() {
-					r, err := runOne(pl.plan, d.det, arm.mit)
-					if err != nil {
-						return nil, fmt.Errorf("straggler sweep %d/%s/%s/%s: %w",
-							nodes, pl.name, d.name, arm.name, err)
-					}
-					row := StragglerRow{
-						Nodes: nodes, Plan: pl.name, Detector: d.name, Arm: arm.name,
-						FilterEnd: r.FilterEnd, JobTime: r.JobTime,
-						Launches: r.SpeculativeLaunches, Wins: r.SpeculativeWins,
-						Wasted: r.WastedTaskSeconds, Decodes: r.CodedDecodes,
-						OutputOK: reflect.DeepEqual(r.Output, healthy.Output),
-					}
-					row.P50, row.P90, row.P99 = taskEndQuantiles(r)
-					res.Rows = append(res.Rows, row)
+		res.Rows = append(res.Rows, rows...)
+	}
+	return res, nil
+}
+
+// stragglerScale runs every (plan, detector, arm) cell on one environment,
+// each on its own clone of the layout: crashes re-replicate blocks.
+func stragglerScale(env *Env, seed int64) ([]StragglerRow, error) {
+	nodes := env.Topo.N()
+	runOne := func(plan *faults.Plan, det detect.Config, mit *straggle.Config) (*mapreduce.Result, error) {
+		return mapreduce.Run(mapreduce.Config{
+			FS: env.FS.Clone(), File: env.File, TargetSub: env.Target,
+			App: apps.WordCount{}, Picker: sched.NewLocalityPicker, ExecuteApp: true,
+			Faults: plan, Detect: det, Mitigate: mit,
+		})
+	}
+	healthy, err := runOne(nil, detect.Config{}, nil)
+	if err != nil {
+		return nil, fmt.Errorf("straggler sweep healthy %d nodes: %w", nodes, err)
+	}
+	detectors := []struct {
+		name string
+		det  detect.Config
+	}{
+		{"oracle", detect.Config{}},
+		{"heartbeat", detect.Config{Mode: detect.Heartbeat, Interval: healthy.FilterEnd * 0.02}},
+	}
+	var rows []StragglerRow
+	for _, pl := range stragglerPlans(nodes, healthy.FilterEnd, seed) {
+		for _, d := range detectors {
+			for _, arm := range stragglerArms() {
+				r, err := runOne(pl.plan, d.det, arm.mit)
+				if err != nil {
+					return nil, fmt.Errorf("straggler sweep %d/%s/%s/%s: %w",
+						nodes, pl.name, d.name, arm.name, err)
 				}
+				row := StragglerRow{
+					Nodes: nodes, Plan: pl.name, Detector: d.name, Arm: arm.name,
+					FilterEnd: r.FilterEnd, JobTime: r.JobTime,
+					Launches: r.SpeculativeLaunches, Wins: r.SpeculativeWins,
+					Wasted: r.WastedTaskSeconds, Decodes: r.CodedDecodes,
+					OutputOK: reflect.DeepEqual(r.Output, healthy.Output),
+				}
+				row.P50, row.P90, row.P99 = taskEndQuantiles(r)
+				rows = append(rows, row)
 			}
 		}
 	}
-	return res, nil
+	return rows, nil
 }
 
 // String renders the sweep.

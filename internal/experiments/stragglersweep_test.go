@@ -1,8 +1,13 @@
 package experiments
 
 import (
+	"reflect"
 	"strings"
 	"testing"
+
+	"datanet/internal/apps"
+	"datanet/internal/mapreduce"
+	"datanet/internal/sched"
 )
 
 // A reduced-scale sweep must show the headline effects the CI gate pins
@@ -47,5 +52,64 @@ func TestStragglerSweepSmall(t *testing.T) {
 	}
 	if c["output_divergences"] != 0 {
 		t.Errorf("output divergences: %v", c)
+	}
+}
+
+// Every cell runs on its own copy of the scale's layout: a crash plan's
+// re-replication must not leak into the shared base layout, so repeated
+// sweeps in one process agree exactly.
+func TestStragglerSweepRunsIsolated(t *testing.T) {
+	first, err := StragglerSweep([]int{16}, MovieParams{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := StragglerSweep([]int{16}, MovieParams{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(first, second) {
+		t.Errorf("repeated sweep differs:\n%+v\n%+v", first, second)
+	}
+	if first.String() != second.String() {
+		t.Errorf("repeated sweep renders differently:\n%s\n%s", first, second)
+	}
+
+	q := DefaultFaultParams()
+	q.Nodes, q.Blocks = 16, 16
+	env, err := NewMovieEnv(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := replicaMap(env.FS)
+	if _, err := stragglerScale(env, q.Seed); err != nil {
+		t.Fatal(err)
+	}
+	if got := replicaMap(env.FS); !reflect.DeepEqual(got, before) {
+		t.Error("straggler cells changed the shared base layout")
+	}
+
+	// The slow+crash plan does re-replicate on the layout it runs on, so
+	// the check above has teeth.
+	run := func(cfg mapreduce.Config) *mapreduce.Result {
+		t.Helper()
+		cfg.File, cfg.TargetSub = env.File, env.Target
+		cfg.App, cfg.Picker = apps.WordCount{}, sched.NewLocalityPicker
+		r, err := mapreduce.Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	healthy := run(mapreduce.Config{FS: env.FS.Clone()})
+	plans := stragglerPlans(16, healthy.FilterEnd, q.Seed)
+	if plans[1].name != "slow+crash" {
+		t.Fatalf("plan[1] = %q, want slow+crash", plans[1].name)
+	}
+	fs := env.FS.Clone()
+	if r := run(mapreduce.Config{FS: fs, Faults: plans[1].plan}); r.ReplicasRepaired == 0 {
+		t.Fatal("slow+crash repaired no replicas; isolation is untested")
+	}
+	if reflect.DeepEqual(replicaMap(fs), before) {
+		t.Error("slow+crash left its layout unchanged")
 	}
 }

@@ -13,9 +13,10 @@
 package gen
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 	"strings"
 
 	"datanet/internal/records"
@@ -128,7 +129,7 @@ func Movies(cfg MovieConfig) []records.Record {
 			Payload: reviewText(rng, vocab, m, cfg.PayloadWords),
 		})
 	}
-	sort.SliceStable(recs, func(i, j int) bool { return recs[i].Time < recs[j].Time })
+	slices.SortStableFunc(recs, func(a, b records.Record) int { return cmp.Compare(a.Time, b.Time) })
 	return recs
 }
 

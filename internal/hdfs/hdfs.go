@@ -86,6 +86,7 @@ type FileInfo struct {
 type FileSystem struct {
 	cfg    Config
 	topo   *cluster.Topology
+	src    *countingSource // behind rng, so Clone can resume the stream
 	rng    *rand.Rand
 	blocks []*Block
 	files  map[string]*FileInfo
@@ -112,12 +113,67 @@ func NewFileSystem(topo *cluster.Topology, cfg Config) (*FileSystem, error) {
 	if cfg.Replication > topo.N() {
 		return nil, ErrReplication
 	}
+	src := &countingSource{seed: cfg.Seed, src: rand.NewSource(cfg.Seed).(rand.Source64)}
 	return &FileSystem{
 		cfg:   cfg,
 		topo:  topo,
-		rng:   rand.New(rand.NewSource(cfg.Seed)),
+		src:   src,
+		rng:   rand.New(src),
 		files: make(map[string]*FileInfo),
 	}, nil
+}
+
+// Clone returns an independent copy of the replica layout: every block's
+// Replicas and every FileInfo are copied, so FailNodes, ApplyMove,
+// DecommissionNode, Rebalance and Write on the clone never reach the
+// original. Block Records (never mutated after Write) and the immutable
+// topology are shared. The clone carries no trace recorder, and its placement
+// RNG (and a stateful policy such as RoundRobinPlacement) resumes where
+// the original's stands, so a later Write on either places identically.
+func (fs *FileSystem) Clone() *FileSystem {
+	c := &FileSystem{
+		cfg:    fs.cfg,
+		topo:   fs.topo,
+		src:    fs.src.clone(),
+		blocks: make([]*Block, len(fs.blocks)),
+		files:  make(map[string]*FileInfo, len(fs.files)),
+	}
+	c.rng = rand.New(c.src)
+	if p, ok := fs.cfg.Placement.(interface{ Clone() placement.Policy }); ok {
+		c.cfg.Placement = p.Clone()
+	}
+	for i, b := range fs.blocks {
+		nb := *b
+		nb.Replicas = append([]cluster.NodeID(nil), b.Replicas...)
+		c.blocks[i] = &nb
+	}
+	for name, info := range fs.files {
+		ni := *info
+		ni.Blocks = append([]BlockID(nil), info.Blocks...)
+		c.files[name] = &ni
+	}
+	return c
+}
+
+// countingSource counts the draws taken from the placement RNG. The
+// math/rand generator state cannot be copied, so Clone reseeds a fresh
+// source and skips it forward by the same count.
+type countingSource struct {
+	src  rand.Source64
+	seed int64
+	n    uint64
+}
+
+func (s *countingSource) Int63() int64    { s.n++; return s.src.Int63() }
+func (s *countingSource) Uint64() uint64  { s.n++; return s.src.Uint64() }
+func (s *countingSource) Seed(seed int64) { s.src.Seed(seed); s.seed, s.n = seed, 0 }
+
+func (s *countingSource) clone() *countingSource {
+	c := &countingSource{src: rand.NewSource(s.seed).(rand.Source64), seed: s.seed}
+	for ; c.n < s.n; c.n++ {
+		c.src.Uint64()
+	}
+	return c
 }
 
 // Config returns the effective configuration.

@@ -145,6 +145,13 @@ type RoundRobin struct {
 // Name implements Policy.
 func (p *RoundRobin) Name() string { return "round-robin" }
 
+// Clone returns a copy that continues the stripe from the same position,
+// so a cloned filesystem's writes do not advance the original's.
+func (p *RoundRobin) Clone() Policy {
+	q := *p
+	return &q
+}
+
 // Place is the legacy write-path entry point.
 func (p *RoundRobin) Place(_ *rand.Rand, topo *cluster.Topology, replication int) []cluster.NodeID {
 	stride := p.Stride
