@@ -89,7 +89,7 @@ func BenchmarkFig5(b *testing.B) {
 	env := sharedMovieEnv(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.Fig5WithEnv(env)
+		r, err := experiments.Fig5(env)
 		if err != nil {
 			b.Fatal(err)
 		}

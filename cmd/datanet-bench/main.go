@@ -6,201 +6,70 @@
 // Usage:
 //
 //	datanet-bench            # run the full suite
-//	datanet-bench -only fig5 # run one experiment (fig1,fig2,table1,fig5,
-//	                         # fig6,fig7,fig8,table2,fig9,fig10,migration,
-//	                         # ablation)
+//	datanet-bench -only fig5 # run one suite section by name
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"time"
 
 	"datanet/internal/experiments"
-	"datanet/internal/stats"
 )
 
 func main() {
-	only := flag.String("only", "", "run a single experiment (fig1, fig2, table1, fig5, fig6, fig7, fig8, table2, fig9, fig10, migration, ablation, theory, sweep, hetero, reactive, iosaving, selectivity, weblog, placement, placement-sweep, straggler-sweep, partition-sweep, modelcheck, aggregation, amortization, blocksize, replication, faulttol, detect)")
+	only := flag.String("only", "", "run a single suite section by name (an unknown name lists the valid ones)")
 	csvDir := flag.String("csv", "", "also write the figure series as CSV files into this directory")
 	htmlOut := flag.String("html", "", "also write a self-contained HTML report (inline SVG) to this path")
 	workers := flag.Int("parallel", 1, "worker-pool size for independent suite experiments (output is identical at any count)")
 	benchOut := flag.String("json-bench", "", "run the suite plus the hot-path microbenches (build MB/s, estimates/sec, HTTP p50/p99) and write the benchmark record to this JSON file")
 	flag.Parse()
 
-	if *benchOut != "" && *only != "" {
-		// Single-experiment benchmark record: run just the named experiment
-		// and write its makespans/counters (e.g. the placement sweep's
-		// bytes-moved bill into BENCH_8.json).
-		start := time.Now()
-		var secs []experiments.BenchSection
-		if err := runOne(*only, func(name string, out fmt.Stringer) {
-			secs = append(secs, experiments.SectionFor(name, time.Since(start), out))
-		}); err != nil {
-			fmt.Fprintln(os.Stderr, "datanet-bench:", err)
-			os.Exit(1)
+	if *benchOut == "" {
+		if *htmlOut != "" {
+			if err := experiments.WriteHTMLReport(*htmlOut); err != nil {
+				fail(err)
+			}
+			fmt.Println("wrote", *htmlOut)
+			if *csvDir == "" && *only == "" {
+				return
+			}
 		}
-		rep := &experiments.BenchReport{Workers: 1, WallSeconds: time.Since(start).Seconds(), Sections: secs}
-		if err := rep.WriteJSON(*benchOut); err != nil {
-			fmt.Fprintln(os.Stderr, "datanet-bench:", err)
-			os.Exit(1)
+		if *csvDir != "" {
+			files, err := experiments.WriteCSVSuite(*csvDir)
+			if err != nil {
+				fail(err)
+			}
+			for _, f := range files {
+				fmt.Println("wrote", f)
+			}
+			if *only == "" {
+				return
+			}
 		}
-		fmt.Println("wrote", *benchOut)
+	}
+
+	rep, err := experiments.RunSuite(os.Stdout, *workers, *only)
+	if err != nil {
+		fail(err)
+	}
+	if *benchOut == "" {
 		return
 	}
-
-	if *benchOut != "" {
-		rep, err := experiments.RunSuiteBench(os.Stdout, *workers)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "datanet-bench:", err)
-			os.Exit(1)
-		}
-		if rep.HotPath, err = experiments.MeasureHotPaths(); err != nil {
-			fmt.Fprintln(os.Stderr, "datanet-bench:", err)
-			os.Exit(1)
-		}
-		if err := rep.WriteJSON(*benchOut); err != nil {
-			fmt.Fprintln(os.Stderr, "datanet-bench:", err)
-			os.Exit(1)
-		}
-		fmt.Println("wrote", *benchOut)
-		return
-	}
-
-	if *htmlOut != "" {
-		if err := experiments.WriteHTMLReport(*htmlOut); err != nil {
-			fmt.Fprintln(os.Stderr, "datanet-bench:", err)
-			os.Exit(1)
-		}
-		fmt.Println("wrote", *htmlOut)
-		if *csvDir == "" && *only == "" {
-			return
-		}
-	}
-
-	if *csvDir != "" {
-		files, err := experiments.WriteCSVSuite(*csvDir)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "datanet-bench:", err)
-			os.Exit(1)
-		}
-		for _, f := range files {
-			fmt.Println("wrote", f)
-		}
-		if *only == "" {
-			return
-		}
-	}
-
+	// A single section's record (-only) carries just its makespans and
+	// counters; the full suite's adds the hot-path microbenches.
 	if *only == "" {
-		if err := experiments.RunSuiteParallel(os.Stdout, *workers); err != nil {
-			fmt.Fprintln(os.Stderr, "datanet-bench:", err)
-			os.Exit(1)
+		if rep.HotPath, err = experiments.MeasureHotPaths(); err != nil {
+			fail(err)
 		}
-		return
 	}
-	if err := runOne(*only, nil); err != nil {
-		fmt.Fprintln(os.Stderr, "datanet-bench:", err)
-		os.Exit(1)
+	if err := rep.WriteJSON(*benchOut); err != nil {
+		fail(err)
 	}
+	fmt.Fprintln(os.Stderr, "wrote", *benchOut)
 }
 
-// runOne executes one named experiment, printing each result and — when
-// emit is non-nil — handing it over for benchmark-record collection.
-func runOne(name string, emit func(string, fmt.Stringer)) error {
-	printAs := func(section string, s fmt.Stringer, err error) error {
-		if err != nil {
-			return err
-		}
-		fmt.Println(s.String())
-		if emit != nil {
-			emit(section, s)
-		}
-		return nil
-	}
-	print := func(s fmt.Stringer, err error) error {
-		return printAs(name, s, err)
-	}
-	switch name {
-	case "fig1":
-		p := experiments.DefaultMovieParams()
-		p.Blocks = 128
-		return print(experiments.Fig1(p))
-	case "fig2":
-		fmt.Println(experiments.Fig2(stats.Gamma{}, 0, nil).String())
-		return nil
-	case "table1":
-		return print(experiments.Table1(nil))
-	case "fig5":
-		return print(experiments.Fig5(experiments.MovieParams{}))
-	case "fig6":
-		return print(experiments.Fig6(nil))
-	case "fig7":
-		return print(experiments.Fig7(nil))
-	case "fig8":
-		return print(experiments.Fig8(experiments.EventParams{}))
-	case "table2":
-		return print(experiments.Table2(nil, nil))
-	case "fig9":
-		return print(experiments.Fig9(nil, 50))
-	case "fig10":
-		return print(experiments.Fig10(nil, nil))
-	case "migration":
-		return print(experiments.Migration(nil))
-	case "ablation":
-		env, err := experiments.NewMovieEnv(experiments.DefaultMovieParams())
-		if err != nil {
-			return err
-		}
-		if err := print(experiments.BucketAblation(env)); err != nil {
-			return err
-		}
-		return print(experiments.SchedulerAblation(env))
-	case "theory":
-		return print(experiments.Theory(stats.Gamma{}, 0, 0, 0))
-	case "sweep":
-		return print(experiments.ClusterSweep(nil, experiments.MovieParams{}))
-	case "hetero":
-		return print(experiments.Heterogeneity(experiments.MovieParams{}))
-	case "reactive":
-		return print(experiments.Reactive(nil))
-	case "iosaving":
-		return print(experiments.IOSaving(nil, nil))
-	case "selectivity":
-		return print(experiments.Selectivity(nil, nil))
-	case "weblog":
-		return print(experiments.WebLog(experiments.WebLogParams{}))
-	case "placement":
-		// The static policy comparison plus the online rebalancer sweep:
-		// together they are the placement benchmark surface.
-		pr, err := experiments.Placement(experiments.MovieParams{})
-		if err := printAs("placement", pr, err); err != nil {
-			return err
-		}
-		sw, err := experiments.PlacementSweep(experiments.MovieParams{})
-		return printAs("placement-sweep", sw, err)
-	case "placement-sweep":
-		return print(experiments.PlacementSweep(experiments.MovieParams{}))
-	case "straggler-sweep":
-		return print(experiments.StragglerSweep(nil, experiments.MovieParams{}))
-	case "partition-sweep":
-		return print(experiments.PartitionSweep(experiments.MovieParams{}))
-	case "modelcheck":
-		return print(experiments.ModelCheck(nil, nil))
-	case "aggregation":
-		return print(experiments.Aggregation(nil, nil))
-	case "blocksize":
-		return print(experiments.BlockSize(nil, experiments.MovieParams{}))
-	case "replication":
-		return print(experiments.Replication(nil, experiments.MovieParams{}))
-	case "amortization":
-		return print(experiments.Amortization(nil))
-	case "faulttol":
-		return print(experiments.FaultTolerance(experiments.MovieParams{}))
-	case "detect":
-		return print(experiments.DetectorSweep(experiments.MovieParams{}))
-	default:
-		return fmt.Errorf("unknown experiment %q", name)
-	}
+func fail(err error) {
+	fmt.Fprintln(os.Stderr, "datanet-bench:", err)
+	os.Exit(1)
 }

@@ -662,11 +662,8 @@ func runSuite(args []string) error {
 	if *workers < 1 {
 		return fmt.Errorf("-parallel must be at least 1")
 	}
-	if *benchOut == "" {
-		return experiments.RunSuiteParallel(stdout, *workers)
-	}
-	rep, err := experiments.RunSuiteBench(stdout, *workers)
-	if err != nil {
+	rep, err := experiments.RunSuite(stdout, *workers, "")
+	if err != nil || *benchOut == "" {
 		return err
 	}
 	if err := rep.WriteJSON(*benchOut); err != nil {

@@ -57,12 +57,6 @@ type Counterer interface {
 	Counters() map[string]int64
 }
 
-// SectionFor builds a benchmark record for one experiment result measured
-// outside the suite runner (`datanet-bench -only <name> -json-bench`).
-func SectionFor(name string, wall time.Duration, out fmt.Stringer) BenchSection {
-	return benchSection(name, wall, out)
-}
-
 // benchSection builds one section record from a finished experiment.
 func benchSection(name string, wall time.Duration, out fmt.Stringer) BenchSection {
 	sec := BenchSection{Name: name, WallSeconds: wall.Seconds()}

@@ -158,10 +158,6 @@ func (r *DetectSweepResult) String() string {
 	t := metrics.NewTable("Failure detection — makespan vs suspicion timeout (same crash plan)",
 		"scheduler", "detector", "timeout", "job time", "vs oracle", "latency mean/max", "false susp", "dup kills", "output")
 	for _, row := range r.Rows {
-		ok := "ok"
-		if !row.OutputOK {
-			ok = "DIVERGED"
-		}
 		timeout := "-"
 		if row.Timeout > 0 {
 			timeout = metrics.Seconds(row.Timeout)
@@ -172,7 +168,7 @@ func (r *DetectSweepResult) String() string {
 		}
 		t.Add(row.Scheduler, row.Mode, timeout,
 			metrics.Seconds(row.JobTime), fmt.Sprintf("%.2fx", row.Slowdown),
-			lat, fmt.Sprint(row.FalseSuspicions), fmt.Sprint(row.DuplicateKills), ok)
+			lat, fmt.Sprint(row.FalseSuspicions), fmt.Sprint(row.DuplicateKills), outputCell(row.OutputOK))
 	}
 	var sb strings.Builder
 	sb.WriteString(t.String())

@@ -11,14 +11,16 @@
 // hardware. The distributional shapes — who wins, by what factor, where
 // crossovers fall — are invariant under this scaling.
 //
-// Dataset and layout: an Env is built once per experiment call by
-// NewMovieEnv (generate → write → ElasticMap build → ground truth). Its
-// records, block split, ElasticMap array and truth are the immutable
-// dataset; the filesystem's replica map is the only part a run mutates
-// (crash repair, decommission, rebalancing moves). A driver that runs
-// several arms or fault plans over one dataset builds it once and gives
-// each run its own copy of the replica layout (Env.Clone, or FS.Clone
-// when the run needs only the filesystem); everything else is shared.
+// Dataset and layout: an Env is built by NewMovieEnv (generate → write →
+// ElasticMap build → ground truth), once per suite run for the experiments
+// that take the shared *Env (which must be non-nil) and once per call for
+// the ones that take parameters. Its records, block split, ElasticMap
+// array and truth are the immutable dataset; the filesystem's replica map
+// is the only part a run mutates (crash repair, decommission, rebalancing
+// moves). A driver that runs several arms or fault plans over one
+// dataset builds it once and gives each run its own copy of the replica
+// layout (Env.Clone, or FS.Clone when the run needs only the filesystem);
+// everything else is shared.
 // The shared data is read-only: no run may edit a block's Records, the
 // Truth map or the Array, since every clone and every later run sees them.
 package experiments
@@ -278,6 +280,15 @@ func NodeSeries[T int64 | float64](topo *cluster.Topology, m map[cluster.NodeID]
 		out[int(id)] = float64(v)
 	}
 	return out
+}
+
+// outputCell renders a run's output check for a table: "ok" when the
+// output matched its reference run, "DIVERGED" when it did not.
+func outputCell(ok bool) string {
+	if ok {
+		return "ok"
+	}
+	return "DIVERGED"
 }
 
 // describe formats an env for report headers.

@@ -169,22 +169,23 @@ func FaultTolerance(p MovieParams) (*FaultTolResult, error) {
 	return res, nil
 }
 
-// String renders the sweep.
-func (r *FaultTolResult) String() string {
+// table is the per-run outcome table.
+func (r *FaultTolResult) table() *metrics.Table {
 	t := metrics.NewTable("Robustness — crash recovery across schedulers (fault-injection sweep)",
 		"scheduler", "crashes", "at", "job time", "slowdown", "retried", "lost", "repaired", "output")
 	for _, row := range r.Rows {
-		ok := "ok"
-		if !row.OutputOK {
-			ok = "DIVERGED"
-		}
 		t.Add(row.Scheduler, fmt.Sprint(row.Crashes),
 			fmt.Sprintf("%.0f%% filter", 100*row.CrashFrac),
 			metrics.Seconds(row.JobTime), fmt.Sprintf("%.2fx", row.Slowdown),
-			fmt.Sprint(row.Retried), fmt.Sprint(row.Lost), fmt.Sprint(row.Repaired), ok)
+			fmt.Sprint(row.Retried), fmt.Sprint(row.Lost), fmt.Sprint(row.Repaired), outputCell(row.OutputOK))
 	}
+	return t
+}
+
+// String renders the sweep.
+func (r *FaultTolResult) String() string {
 	var sb strings.Builder
-	sb.WriteString(t.String())
+	sb.WriteString(r.table().String())
 	sb.WriteString(r.Counters.Table("Fault-handling totals across the sweep").String())
 	fmt.Fprintf(&sb, "  degraded metadata: scheduler %q, output correct: %v\n", r.FallbackSched, r.FallbackOK)
 	sb.WriteString("  (crash recovery re-runs lost filter tasks on surviving replica holders; the job's answer must never change)\n")

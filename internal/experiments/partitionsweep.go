@@ -215,10 +215,6 @@ func (r *PartitionSweepResult) String() string {
 	t := metrics.NewTable("Extension — key-aware reduce partitioning (strategy × key distribution)",
 		"distribution", "strategy", "reduce", "max load", "mean load", "imbalance", "shuffle", "splits", "output")
 	for _, row := range r.Rows {
-		ok := "ok"
-		if !row.OutputOK {
-			ok = "DIVERGED"
-		}
 		imb := 0.0
 		if row.MeanLoad > 0 {
 			imb = row.MaxLoad / row.MeanLoad
@@ -226,7 +222,7 @@ func (r *PartitionSweepResult) String() string {
 		t.Add(row.Dist, row.Strategy, metrics.Seconds(row.ReduceMakespan),
 			metrics.Bytes(int64(row.MaxLoad)), metrics.Bytes(int64(row.MeanLoad)),
 			fmt.Sprintf("%.2f×", imb), metrics.Bytes(row.ShuffleBytes),
-			fmt.Sprint(row.SplitKeys), ok)
+			fmt.Sprint(row.SplitKeys), outputCell(row.OutputOK))
 	}
 	var sb strings.Builder
 	sb.WriteString(t.String())

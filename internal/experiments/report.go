@@ -56,7 +56,7 @@ func WriteHTMLReport(path string) error {
 	if err != nil {
 		return err
 	}
-	r5, err := Fig5WithEnv(env)
+	r5, err := Fig5(env)
 	if err != nil {
 		return err
 	}
@@ -152,19 +152,7 @@ func WriteHTMLReport(path string) error {
 	if err != nil {
 		return err
 	}
-	tft := metrics.NewTable("Crash recovery across schedulers",
-		"scheduler", "crashes", "at", "job time", "slowdown", "retried", "repaired", "output")
-	for _, row := range ft.Rows {
-		ok := "ok"
-		if !row.OutputOK {
-			ok = "DIVERGED"
-		}
-		tft.Add(row.Scheduler, fmt.Sprint(row.Crashes),
-			metrics.Pct(row.CrashFrac), metrics.Seconds(row.JobTime),
-			fmt.Sprintf("%.2fx", row.Slowdown), fmt.Sprint(row.Retried),
-			fmt.Sprint(row.Repaired), ok)
-	}
-	ftBody := tft.HTMLTable() + ft.Counters.Table("Fault-handling totals").HTMLTable() +
+	ftBody := ft.table().HTMLTable() + ft.Counters.Table("Fault-handling totals").HTMLTable() +
 		fmt.Sprintf("<p>Degraded metadata demotes DataNet to %q (output correct: %v).</p>",
 			ft.FallbackSched, ft.FallbackOK)
 	section("Fault tolerance — crash recovery sweep", ftBody)

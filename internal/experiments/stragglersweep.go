@@ -218,15 +218,11 @@ func (r *StragglerSweepResult) String() string {
 	t := metrics.NewTable("Extension — straggler mitigation under heterogeneity (filter-tail CDF + wasted work)",
 		"nodes", "plan", "detector", "arm", "filter", "job time", "p50/p90/p99", "backups", "wins", "wasted", "decodes", "output")
 	for _, row := range r.Rows {
-		ok := "ok"
-		if !row.OutputOK {
-			ok = "DIVERGED"
-		}
 		t.Add(fmt.Sprint(row.Nodes), row.Plan, row.Detector, row.Arm,
 			metrics.Seconds(row.FilterEnd), metrics.Seconds(row.JobTime),
 			fmt.Sprintf("%.1f/%.1f/%.1f s", row.P50, row.P90, row.P99),
 			fmt.Sprint(row.Launches), fmt.Sprint(row.Wins),
-			metrics.Seconds(row.Wasted), fmt.Sprint(row.Decodes), ok)
+			metrics.Seconds(row.Wasted), fmt.Sprint(row.Decodes), outputCell(row.OutputOK))
 	}
 	var sb strings.Builder
 	sb.WriteString(t.String())

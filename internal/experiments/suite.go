@@ -3,7 +3,9 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"sync"
+	"slices"
+	"strings"
+	"sync/atomic"
 	"time"
 
 	"datanet/internal/stats"
@@ -21,265 +23,162 @@ type suiteSection struct {
 	run    func(env *Env) (fmt.Stringer, error)
 }
 
+// shared adapts an experiment on the shared movie environment.
+func shared[R fmt.Stringer](name string, run func(*Env) (R, error)) suiteSection {
+	return suiteSection{name, true, func(env *Env) (fmt.Stringer, error) { return run(env) }}
+}
+
+// independent adapts an experiment that builds its own environment.
+func independent[R fmt.Stringer](name string, run func() (R, error)) suiteSection {
+	return suiteSection{name, false, func(*Env) (fmt.Stringer, error) { return run() }}
+}
+
 // suiteSections is the full paper suite in output order.
 func suiteSections() []suiteSection {
 	return []suiteSection{
 		// Figure 1 (its own 128-block env, as in the paper's intro example).
-		{"fig1", false, func(*Env) (fmt.Stringer, error) {
+		independent("fig1", func() (*Fig1Result, error) {
 			p := DefaultMovieParams()
 			p.Blocks = 128
-			r, err := Fig1(p)
-			return r, err
-		}},
+			return Fig1(p)
+		}),
 		// Figure 2 (analytic).
-		{"fig2", false, func(*Env) (fmt.Stringer, error) {
-			return Fig2(stats.Gamma{}, 0, nil), nil
-		}},
-		{"table1", true, func(env *Env) (fmt.Stringer, error) {
-			r, err := Table1(env)
-			return r, err
-		}},
-		{"fig5", true, func(env *Env) (fmt.Stringer, error) {
-			r, err := Fig5WithEnv(env)
-			return r, err
-		}},
-		{"fig6", true, func(env *Env) (fmt.Stringer, error) {
-			r, err := Fig6(env)
-			return r, err
-		}},
-		{"fig7", true, func(env *Env) (fmt.Stringer, error) {
-			r, err := Fig7(env)
-			return r, err
-		}},
-		{"fig8", false, func(*Env) (fmt.Stringer, error) {
-			r, err := Fig8(EventParams{})
-			return r, err
-		}},
-		{"table2", true, func(env *Env) (fmt.Stringer, error) {
-			r, err := Table2(env, nil)
-			return r, err
-		}},
-		{"fig9", true, func(env *Env) (fmt.Stringer, error) {
-			r, err := Fig9(env, 50)
-			return r, err
-		}},
-		{"fig10", true, func(env *Env) (fmt.Stringer, error) {
-			r, err := Fig10(env, nil)
-			return r, err
-		}},
-		{"migration", true, func(env *Env) (fmt.Stringer, error) {
-			r, err := Migration(env)
-			return r, err
-		}},
-		{"bucket-ablation", true, func(env *Env) (fmt.Stringer, error) {
-			r, err := BucketAblation(env)
-			return r, err
-		}},
-		{"scheduler-ablation", true, func(env *Env) (fmt.Stringer, error) {
-			r, err := SchedulerAblation(env)
-			return r, err
-		}},
+		independent("fig2", func() (*Fig2Result, error) { return Fig2(stats.Gamma{}, 0, nil), nil }),
+		shared("table1", Table1),
+		shared("fig5", Fig5),
+		shared("fig6", Fig6),
+		shared("fig7", Fig7),
+		independent("fig8", func() (*Fig8Result, error) { return Fig8(EventParams{}) }),
+		shared("table2", func(env *Env) (*Table2Result, error) { return Table2(env, nil) }),
+		shared("fig9", func(env *Env) (*Fig9Result, error) { return Fig9(env, 50) }),
+		shared("fig10", func(env *Env) (*Fig10Result, error) { return Fig10(env, nil) }),
+		shared("migration", Migration),
+		shared("bucket-ablation", BucketAblation),
+		shared("scheduler-ablation", SchedulerAblation),
 		// Extension experiments (beyond the paper's figures; DESIGN.md §5-6).
-		{"theory", false, func(*Env) (fmt.Stringer, error) {
-			r, err := Theory(stats.Gamma{}, 0, 0, 3)
-			return r, err
-		}},
-		{"cluster-sweep", false, func(*Env) (fmt.Stringer, error) {
-			r, err := ClusterSweep(nil, MovieParams{})
-			return r, err
-		}},
-		{"heterogeneity", false, func(*Env) (fmt.Stringer, error) {
-			r, err := Heterogeneity(MovieParams{})
-			return r, err
-		}},
-		{"reactive", true, func(env *Env) (fmt.Stringer, error) {
-			r, err := Reactive(env)
-			return r, err
-		}},
-		{"io-saving", true, func(env *Env) (fmt.Stringer, error) {
-			r, err := IOSaving(env, nil)
-			return r, err
-		}},
-		{"selectivity", true, func(env *Env) (fmt.Stringer, error) {
-			r, err := Selectivity(env, nil)
-			return r, err
-		}},
-		{"weblog", false, func(*Env) (fmt.Stringer, error) {
-			r, err := WebLog(WebLogParams{})
-			return r, err
-		}},
-		{"placement", false, func(*Env) (fmt.Stringer, error) {
-			r, err := Placement(MovieParams{})
-			return r, err
-		}},
-		{"model-check", true, func(env *Env) (fmt.Stringer, error) {
-			r, err := ModelCheck(env, nil)
-			return r, err
-		}},
-		{"aggregation", true, func(env *Env) (fmt.Stringer, error) {
-			r, err := Aggregation(env, nil)
-			return r, err
-		}},
-		{"amortization", true, func(env *Env) (fmt.Stringer, error) {
-			r, err := Amortization(env)
-			return r, err
-		}},
-		{"block-size", false, func(*Env) (fmt.Stringer, error) {
-			r, err := BlockSize(nil, MovieParams{})
-			return r, err
-		}},
-		{"replication", false, func(*Env) (fmt.Stringer, error) {
-			r, err := Replication(nil, MovieParams{})
-			return r, err
-		}},
-		{"fault-tolerance", false, func(*Env) (fmt.Stringer, error) {
-			r, err := FaultTolerance(MovieParams{})
-			return r, err
-		}},
-		{"detector-latency", false, func(*Env) (fmt.Stringer, error) {
-			r, err := DetectorSweep(MovieParams{})
-			return r, err
-		}},
-		{"failover-sweep", false, func(*Env) (fmt.Stringer, error) {
-			r, err := FailoverSweep()
-			return r, err
-		}},
-		{"placement-sweep", false, func(*Env) (fmt.Stringer, error) {
-			r, err := PlacementSweep(MovieParams{})
-			return r, err
-		}},
-		{"straggler-sweep", false, func(*Env) (fmt.Stringer, error) {
-			r, err := StragglerSweep(nil, MovieParams{})
-			return r, err
-		}},
-		{"partition-sweep", false, func(*Env) (fmt.Stringer, error) {
-			r, err := PartitionSweep(MovieParams{})
-			return r, err
-		}},
+		independent("theory", func() (*TheoryResult, error) { return Theory(stats.Gamma{}, 0, 0, 3) }),
+		independent("cluster-sweep", func() (*ClusterSweepResult, error) { return ClusterSweep(nil, MovieParams{}) }),
+		independent("heterogeneity", func() (*HeterogeneityResult, error) { return Heterogeneity(MovieParams{}) }),
+		shared("reactive", Reactive),
+		shared("io-saving", func(env *Env) (*IOSavingResult, error) { return IOSaving(env, nil) }),
+		shared("selectivity", func(env *Env) (*SelectivityResult, error) { return Selectivity(env, nil) }),
+		independent("weblog", func() (*WebLogResult, error) { return WebLog(WebLogParams{}) }),
+		independent("placement", func() (*PlacementResult, error) { return Placement(MovieParams{}) }),
+		shared("model-check", func(env *Env) (*ModelCheckResult, error) { return ModelCheck(env, nil) }),
+		shared("aggregation", func(env *Env) (*AggregationResult, error) { return Aggregation(env, nil) }),
+		shared("amortization", Amortization),
+		independent("block-size", func() (*BlockSizeResult, error) { return BlockSize(nil, MovieParams{}) }),
+		independent("replication", func() (*ReplicationResult, error) { return Replication(nil, MovieParams{}) }),
+		independent("fault-tolerance", func() (*FaultTolResult, error) { return FaultTolerance(MovieParams{}) }),
+		independent("detector-latency", func() (*DetectSweepResult, error) { return DetectorSweep(MovieParams{}) }),
+		independent("failover-sweep", FailoverSweep),
+		independent("placement-sweep", func() (*PlacementSweepResult, error) { return PlacementSweep(MovieParams{}) }),
+		independent("straggler-sweep", func() (*StragglerSweepResult, error) { return StragglerSweep(nil, MovieParams{}) }),
+		independent("partition-sweep", func() (*PartitionSweepResult, error) { return PartitionSweep(MovieParams{}) }),
 	}
 }
 
-// RunSuite executes every paper experiment in order and streams the
-// rendered results to w. It shares one movie environment across the
-// experiments that the paper derives from the same runs, exactly as the
-// paper does.
-func RunSuite(w io.Writer) error {
-	return RunSuiteParallel(w, 1)
-}
-
-// RunSuiteParallel runs the suite on up to workers concurrent goroutines.
-// The kernel-based engine is job-isolated (each job runs on its own event
-// queue and clock), so independent sections fan out freely; sections
-// sharing the movie environment keep their declared order on a single
-// chain. Output is streamed in the fixed suite order regardless of
-// completion order, so the bytes written to w are identical to the
-// sequential run. workers <= 1 runs fully sequentially on the calling
-// goroutine.
-func RunSuiteParallel(w io.Writer, workers int) error {
-	_, err := runSuite(w, workers, false)
-	return err
-}
-
-// RunSuiteBench runs the suite like RunSuiteParallel and additionally
-// collects the per-section benchmark report (wall-clock seconds and, where
-// a section exposes them, simulated makespans).
-func RunSuiteBench(w io.Writer, workers int) (*BenchReport, error) {
-	return runSuite(w, workers, true)
-}
-
-func runSuite(w io.Writer, workers int, bench bool) (*BenchReport, error) {
+// selectSections returns the whole suite when only is empty and otherwise
+// the one section named only.
+func selectSections(only string) ([]suiteSection, error) {
 	secs := suiteSections()
-	suiteStart := time.Now()
-	outs := make([]fmt.Stringer, len(secs))
-	errs := make([]error, len(secs))
-	wall := make([]float64, len(secs))
-
-	if workers <= 1 {
-		// Fully sequential: no goroutines, results printed as they finish.
-		// The shared environment is built lazily, right before its first
-		// consumer (preserving the legacy section/error interleaving).
-		var env *Env
-		var rep *BenchReport
-		if bench {
-			rep = &BenchReport{Workers: 1}
-		}
-		for _, s := range secs {
-			if s.shared && env == nil {
-				var err error
-				if env, err = NewMovieEnv(DefaultMovieParams()); err != nil {
-					return rep, err
-				}
-			}
-			t0 := time.Now()
-			out, err := s.run(env)
-			if err != nil {
-				return rep, err
-			}
-			if rep != nil {
-				rep.Sections = append(rep.Sections, benchSection(s.name, time.Since(t0), out))
-			}
-			if _, err := fmt.Fprintln(w, out.String()); err != nil {
-				return rep, err
-			}
-		}
-		if rep != nil {
-			rep.WallSeconds = time.Since(suiteStart).Seconds()
-		}
-		return rep, nil
+	if only == "" {
+		return secs, nil
 	}
+	names := make([]string, len(secs))
+	for i, s := range secs {
+		if s.name == only {
+			return secs[i : i+1], nil
+		}
+		names[i] = s.name
+	}
+	return nil, fmt.Errorf("unknown experiment %q (valid: %s)", only, strings.Join(names, ", "))
+}
 
-	env, err := NewMovieEnv(DefaultMovieParams())
+// RunSuite runs the paper suite — or, when only is non-empty, just the
+// section of that name — on up to workers concurrent goroutines, and
+// returns each section's benchmark record (wall-clock seconds plus the
+// simulated makespans and counters the section exposes).
+//
+// The kernel-based engine is job-isolated (each job runs on its own event
+// queue and clock), so independent sections fan out freely; sections on
+// the shared movie environment, which is built only when one of them is
+// selected, keep their declared order on a single chain. Section i is
+// written to w as soon as it and every section before it are done, so the
+// bytes written are the same at any worker count. On an error the
+// sections before the failing one are written and the error is returned;
+// an unknown name writes nothing.
+func RunSuite(w io.Writer, workers int, only string) (*BenchReport, error) {
+	secs, err := selectSections(only)
 	if err != nil {
 		return nil, err
 	}
+	suiteStart := time.Now()
+	var env *Env
+	if slices.ContainsFunc(secs, func(s suiteSection) bool { return s.shared }) {
+		if env, err = NewMovieEnv(DefaultMovieParams()); err != nil {
+			return nil, err
+		}
+	}
+	rep, err := runSections(w, max(workers, 1), secs, env)
+	if err == nil {
+		rep.WallSeconds = time.Since(suiteStart).Seconds()
+	}
+	return rep, err
+}
+
+// runSections runs secs on up to workers goroutines, handing env to the
+// shared ones, and streams their output to w in order (see RunSuite).
+func runSections(w io.Writer, workers int, secs []suiteSection, env *Env) (*BenchReport, error) {
+	type result struct {
+		out  fmt.Stringer
+		err  error
+		wall time.Duration
+	}
+	done := make([]chan result, len(secs))
+	for i := range done {
+		done[i] = make(chan result, 1)
+	}
+	var stopped atomic.Bool // set once a section failed: later ones are skipped
 	sem := make(chan struct{}, workers)
-	runOne := func(i int) {
+	run := func(i int) {
 		sem <- struct{}{}
 		defer func() { <-sem }()
+		if stopped.Load() {
+			done[i] <- result{}
+			return
+		}
 		t0 := time.Now()
-		outs[i], errs[i] = secs[i].run(env)
-		wall[i] = time.Since(t0).Seconds()
+		out, err := secs[i].run(env)
+		done[i] <- result{out, err, time.Since(t0)}
 	}
-	var wg sync.WaitGroup
-	wg.Add(1)
 	go func() { // the shared-env chain: declared order, one at a time
-		defer wg.Done()
-		for i := range secs {
-			if secs[i].shared {
-				runOne(i)
+		for i, s := range secs {
+			if s.shared {
+				run(i)
 			}
 		}
 	}()
-	for i := range secs {
-		if !secs[i].shared {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				runOne(i)
-			}(i)
-		}
-	}
-	wg.Wait()
-
-	var rep *BenchReport
-	if bench {
-		rep = &BenchReport{Workers: workers}
-	}
 	for i, s := range secs {
-		if errs[i] != nil {
-			return rep, errs[i]
-		}
-		if rep != nil {
-			sec := benchSection(s.name, 0, outs[i])
-			sec.WallSeconds = wall[i]
-			rep.Sections = append(rep.Sections, sec)
-		}
-		if _, err := fmt.Fprintln(w, outs[i].String()); err != nil {
-			return rep, err
+		if !s.shared {
+			go run(i)
 		}
 	}
-	if rep != nil {
-		rep.WallSeconds = time.Since(suiteStart).Seconds()
+
+	rep := &BenchReport{Workers: workers}
+	for i, s := range secs {
+		r := <-done[i]
+		if r.err == nil {
+			_, r.err = fmt.Fprintln(w, r.out.String())
+		}
+		if r.err != nil {
+			stopped.Store(true)
+			for _, d := range done[i+1:] {
+				<-d
+			}
+			return rep, r.err
+		}
+		rep.Sections = append(rep.Sections, benchSection(s.name, r.wall, r.out))
 	}
 	return rep, nil
 }

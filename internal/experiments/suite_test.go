@@ -2,10 +2,13 @@ package experiments
 
 import (
 	"bytes"
+	"errors"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -20,7 +23,7 @@ func TestSuiteGoldenAndParallel(t *testing.T) {
 		t.Skip("suite is seconds-long; skipped in -short")
 	}
 	var seq bytes.Buffer
-	if err := RunSuite(&seq); err != nil {
+	if _, err := RunSuite(&seq, 1, ""); err != nil {
 		t.Fatal(err)
 	}
 	out := seq.String()
@@ -47,7 +50,7 @@ func TestSuiteGoldenAndParallel(t *testing.T) {
 	}
 
 	var par bytes.Buffer
-	rep, err := RunSuiteBench(&par, 4)
+	rep, err := RunSuite(&par, 4, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,5 +71,93 @@ func TestSuiteGoldenAndParallel(t *testing.T) {
 	}
 	if !haveMakespans {
 		t.Error("no section reported simulated makespans")
+	}
+}
+
+// TestRunSuiteOnly runs single sections through the suite runner: each
+// one's output must appear verbatim in the suite golden, its report must
+// hold exactly that section, and an unknown name must fail listing the
+// valid names without writing anything.
+func TestRunSuiteOnly(t *testing.T) {
+	golden, err := os.ReadFile(filepath.Join("testdata", "suite.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"fig2", "failover-sweep", "partition-sweep", "table1"} {
+		var buf bytes.Buffer
+		rep, err := RunSuite(&buf, 1, name)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if buf.Len() == 0 || !bytes.Contains(golden, buf.Bytes()) {
+			t.Errorf("%s: standalone output (%d bytes) is not part of suite.golden", name, buf.Len())
+		}
+		if len(rep.Sections) != 1 || rep.Sections[0].Name != name {
+			t.Errorf("%s: report sections = %+v", name, rep.Sections)
+		}
+	}
+
+	var buf bytes.Buffer
+	if _, err := RunSuite(&buf, 1, "faulttol"); err == nil || !strings.Contains(err.Error(), "fault-tolerance") {
+		t.Errorf("unknown name: err = %v, want one listing fault-tolerance", err)
+	}
+	if buf.Len() != 0 {
+		t.Errorf("unknown name wrote %d bytes", buf.Len())
+	}
+}
+
+type text string
+
+func (t text) String() string { return string(t) }
+
+// TestRunSectionsOrderAndError checks the runner's contract on stub
+// sections: shared sections run one at a time in declared order, output
+// is written in suite order at any worker count, and a failing section
+// leaves exactly the sections before it written.
+func TestRunSectionsOrderAndError(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		var mu sync.Mutex
+		var order []string
+		stub := func(name string, shared bool, err error) suiteSection {
+			return suiteSection{name, shared, func(*Env) (fmt.Stringer, error) {
+				mu.Lock()
+				order = append(order, name)
+				mu.Unlock()
+				return text(name), err
+			}}
+		}
+		secs := []suiteSection{stub("a", false, nil), stub("s1", true, nil), stub("b", false, nil),
+			stub("s2", true, nil), stub("s3", true, nil)}
+		var buf bytes.Buffer
+		rep, err := runSections(&buf, workers, secs, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := buf.String(); got != "a\ns1\nb\ns2\ns3\n" {
+			t.Errorf("workers=%d: output %q", workers, got)
+		}
+		if len(rep.Sections) != len(secs) || rep.Workers != workers {
+			t.Errorf("workers=%d: report %+v", workers, rep)
+		}
+		var chain []string
+		for _, name := range order {
+			if name[0] == 's' {
+				chain = append(chain, name)
+			}
+		}
+		if strings.Join(chain, ",") != "s1,s2,s3" {
+			t.Errorf("workers=%d: shared sections ran as %v", workers, chain)
+		}
+
+		boom := errors.New("boom")
+		secs = []suiteSection{stub("a", false, nil), stub("s1", true, nil), stub("s2", true, boom),
+			stub("b", false, nil), stub("s3", true, nil)}
+		buf.Reset()
+		if _, err := runSections(&buf, workers, secs, nil); err != boom {
+			t.Errorf("workers=%d: err = %v, want boom", workers, err)
+		}
+		if got := buf.String(); got != "a\ns1\n" {
+			t.Errorf("workers=%d: output before the error %q", workers, got)
+		}
 	}
 }

@@ -25,15 +25,8 @@ type Table1Entry struct {
 	Bytes   int64
 }
 
-// Table1 runs the experiment (reusing an existing env when provided).
+// Table1 runs the experiment on env.
 func Table1(env *Env) (*Table1Result, error) {
-	if env == nil {
-		var err error
-		env, err = NewMovieEnv(DefaultMovieParams())
-		if err != nil {
-			return nil, err
-		}
-	}
 	// Pick the block with the most target data.
 	best, bestVal := 0, int64(-1)
 	for i, v := range env.BlockTruth {
