@@ -16,6 +16,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 
 	"datanet/internal/records"
 )
@@ -45,7 +46,59 @@ type App interface {
 	// are merged before the final Reduce. The partition-independence
 	// harness and TestReduceOrderAndSplitInsensitive enforce the contract
 	// for every registered app.
+	//
+	// An app that also implements Combiner has its map output folded per
+	// map task before the shuffle. Its Combine must then satisfy, for any
+	// split of a key's values into parts p1…pn,
+	//
+	//	Reduce(k, [Combine(k,p1) … Combine(k,pn)]) == Reduce(k, p1++…++pn)
+	//
+	// (TestCombineContract enforces it).
 	Reduce(key string, values []string) string
+}
+
+// Combiner is the optional map-side fold of an App (Hadoop's combiner):
+// the engine calls Combine once per key per map task and ships the one
+// folded value instead of the task's whole value list. The contract is
+// stated on App.Reduce.
+type Combiner interface {
+	Combine(key string, values []string) string
+}
+
+// asciiSpace marks the ASCII bytes unicode.IsSpace accepts — the
+// separators strings.Fields splits on below U+0080.
+var asciiSpace = [utf8.RuneSelf]bool{'\t': true, '\n': true, '\v': true, '\f': true, '\r': true, ' ': true}
+
+// eachField calls f on every field of s, splitting exactly as
+// strings.Fields does but without building the slice. ASCII input takes a
+// byte loop; from the first byte ≥ 0x80 on, the rest of s (starting at the
+// current field) goes through strings.Fields, which handles the Unicode
+// separators (U+0085, U+00A0, U+3000, …).
+func eachField(s string, f func(string)) {
+	start := -1
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		if c >= utf8.RuneSelf {
+			if start < 0 {
+				start = i
+			}
+			for _, tok := range strings.Fields(s[start:]) {
+				f(tok)
+			}
+			return
+		}
+		if asciiSpace[c] {
+			if start >= 0 {
+				f(s[start:i])
+				start = -1
+			}
+		} else if start < 0 {
+			start = i
+		}
+	}
+	if start >= 0 {
+		f(s[start:])
+	}
 }
 
 // All returns the four paper applications with their default settings.
@@ -151,11 +204,11 @@ func (TopKSearch) OutputRatio() float64 { return 0.02 }
 // reducer can take the global top K.
 func (a TopKSearch) Map(r records.Record, emit Emit) {
 	score := 0
-	for _, tok := range strings.Fields(r.Payload) {
+	eachField(r.Payload, func(tok string) {
 		if a.queryTokens[tok] {
 			score++
 		}
-	}
+	})
 	if score > 0 {
 		emit("topk", fmt.Sprintf("%06d|%s@%d", score, r.Sub, r.Time))
 	}
@@ -191,9 +244,7 @@ func (WordCount) OutputRatio() float64 { return 0.5 }
 
 // Map implements App.
 func (WordCount) Map(r records.Record, emit Emit) {
-	for _, tok := range strings.Fields(r.Payload) {
-		emit(tok, "1")
-	}
+	eachField(r.Payload, func(tok string) { emit(tok, "1") })
 }
 
 // Reduce implements App.
@@ -207,6 +258,11 @@ func (WordCount) Reduce(key string, values []string) string {
 		total += n
 	}
 	return strconv.Itoa(total)
+}
+
+// Combine implements Combiner: partial counts sum like final ones.
+func (WordCount) Combine(key string, values []string) string {
+	return WordCount{}.Reduce(key, values)
 }
 
 // ---------------------------------------------------------------------------
@@ -227,19 +283,29 @@ func (WordHistogram) CostFactor() float64 { return 3.2 }
 // WordCount's full-word keys.
 func (WordHistogram) OutputRatio() float64 { return 0.3 }
 
+// lenKeys holds WordHistogram's keys: lenKeys[l] is "len%02d" of l, with
+// every length above 32 folded into "len32".
+var lenKeys = func() (k [33]string) {
+	for l := range k {
+		k[l] = fmt.Sprintf("len%02d", l)
+	}
+	return k
+}()
+
 // Map implements App: emit (len(word), 1).
 func (WordHistogram) Map(r records.Record, emit Emit) {
-	for _, tok := range strings.Fields(r.Payload) {
-		l := len(tok)
-		if l > 32 {
-			l = 32
-		}
-		emit(fmt.Sprintf("len%02d", l), "1")
-	}
+	eachField(r.Payload, func(tok string) {
+		emit(lenKeys[min(len(tok), len(lenKeys)-1)], "1")
+	})
 }
 
 // Reduce implements App.
 func (WordHistogram) Reduce(key string, values []string) string {
+	return WordCount{}.Reduce(key, values)
+}
+
+// Combine implements Combiner.
+func (WordHistogram) Combine(key string, values []string) string {
 	return WordCount{}.Reduce(key, values)
 }
 
@@ -283,5 +349,10 @@ func (a Sessionize) Map(r records.Record, emit Emit) {
 
 // Reduce implements App: events per session window.
 func (Sessionize) Reduce(key string, values []string) string {
+	return WordCount{}.Reduce(key, values)
+}
+
+// Combine implements Combiner.
+func (Sessionize) Combine(key string, values []string) string {
 	return WordCount{}.Reduce(key, values)
 }

@@ -95,6 +95,45 @@ func TestReduceOrderAndSplitInsensitive(t *testing.T) {
 	}
 }
 
+// TestCombineContract enforces the combiner half of the App contract:
+// for every app that implements Combiner, reducing the combined parts of
+// any split of a key's values equals reducing the values themselves —
+// the per-map-task fold the engine's collector applies. Splits cut a
+// seeded random permutation of the values at random points.
+func TestCombineContract(t *testing.T) {
+	recs := contractRecords()
+	combiners := 0
+	for _, app := range append(Extended(), NewSessionize(3600)) {
+		comb, ok := app.(Combiner)
+		if !ok {
+			continue
+		}
+		combiners++
+		t.Run(app.Name(), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(3))
+			for key, vs := range collect(app, recs) {
+				want := app.Reduce(key, vs)
+				for trial := 0; trial < 8; trial++ {
+					perm := append([]string(nil), vs...)
+					rng.Shuffle(len(perm), func(i, j int) { perm[i], perm[j] = perm[j], perm[i] })
+					var partials []string
+					for len(perm) > 0 {
+						n := 1 + rng.Intn(len(perm))
+						partials = append(partials, comb.Combine(key, perm[:n]))
+						perm = perm[n:]
+					}
+					if got := app.Reduce(key, partials); got != want {
+						t.Fatalf("key %q: Reduce of %d combined parts = %q, want %q", key, len(partials), got, want)
+					}
+				}
+			}
+		})
+	}
+	if combiners < 3 {
+		t.Fatalf("%d apps implement Combiner, want WordCount, WordHistogram and Sessionize", combiners)
+	}
+}
+
 // TestDistributedSortGlobalOrder pins the property range partitioning
 // exists for: reducer outputs concatenated in reducer order are globally
 // sorted, because DistributedSort keys sort lexically as (time, sub).

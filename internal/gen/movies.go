@@ -137,6 +137,7 @@ func Movies(cfg MovieConfig) []records.Record {
 // mixed in so Top-K similarity search has genuine signal to find.
 func reviewText(rng *rand.Rand, vocab []string, movie, meanWords int) string {
 	n := meanWords/2 + rng.Intn(meanWords+1)
+	tag := fmt.Sprintf("tag%04d", movie%10000)
 	var sb strings.Builder
 	sb.Grow(n * 7)
 	for i := 0; i < n; i++ {
@@ -144,7 +145,7 @@ func reviewText(rng *rand.Rand, vocab []string, movie, meanWords int) string {
 			sb.WriteByte(' ')
 		}
 		if rng.Intn(8) == 0 {
-			fmt.Fprintf(&sb, "tag%04d", movie%10000)
+			sb.WriteString(tag)
 			continue
 		}
 		sb.WriteString(vocab[rng.Intn(len(vocab))])

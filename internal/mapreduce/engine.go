@@ -517,35 +517,76 @@ func isLocalTask(t sched.Task, node cluster.NodeID) bool {
 }
 
 // collector accumulates real intermediate pairs when ExecuteApp is set.
+// Each map task (one block, or one decoded coded fragment) emits into a
+// task-local scratch table that is reused across tasks; at the end of the
+// task every key's list joins groups — folded to one value when the app
+// is an apps.Combiner, unchanged otherwise. A key's values therefore stay
+// in task order across tasks.
 type collector struct {
 	groups map[string][]string
+
+	comb apps.Combiner // nil when the app has no combiner
+	emit apps.Emit
+	slot map[string]int // key → index into keys/vals for the current task
+	keys []string       // the current task's keys, in first-emit order
+	vals [][]string     // vals[i] is keys[i]'s values; backing arrays are reused
 }
 
 func newCollector(cfg Config) *collector {
 	if !cfg.ExecuteApp {
 		return &collector{}
 	}
-	return &collector{groups: make(map[string][]string)}
+	c := &collector{groups: make(map[string][]string), slot: make(map[string]int)}
+	c.comb, _ = cfg.App.(apps.Combiner)
+	c.emit = func(k, v string) {
+		i, ok := c.slot[k]
+		if !ok {
+			i = len(c.keys)
+			c.slot[k] = i
+			c.keys = append(c.keys, k)
+			if i == len(c.vals) {
+				c.vals = append(c.vals, nil)
+			}
+		}
+		c.vals[i] = append(c.vals[i], v)
+	}
+	return c
+}
+
+// flush ends the current map task: it moves the task's output into groups
+// and empties the scratch table for the next task.
+func (c *collector) flush() {
+	for i, k := range c.keys {
+		vs := c.vals[i]
+		if c.comb != nil {
+			c.groups[k] = append(c.groups[k], c.comb.Combine(k, vs))
+		} else {
+			c.groups[k] = append(c.groups[k], vs...)
+		}
+		c.vals[i] = vs[:0]
+	}
+	c.keys = c.keys[:0]
+	clear(c.slot)
 }
 
 func (c *collector) runMap(b *hdfs.Block, cfg Config) {
-	emit := func(k, v string) { c.groups[k] = append(c.groups[k], v) }
 	for _, r := range b.Records {
 		if cfg.TargetSub != "" && r.Sub != cfg.TargetSub {
 			continue
 		}
-		cfg.App.Map(r, emit)
+		cfg.App.Map(r, c.emit)
 	}
+	c.flush()
 }
 
 // runRecords feeds already-filtered records (a reconstructed coded
 // fragment) through the application map — the fragment was filtered when
 // it was encoded, so no predicate is re-applied.
 func (c *collector) runRecords(recs []records.Record, cfg Config) {
-	emit := func(k, v string) { c.groups[k] = append(c.groups[k], v) }
 	for _, r := range recs {
-		cfg.App.Map(r, emit)
+		cfg.App.Map(r, c.emit)
 	}
+	c.flush()
 }
 
 // reduce runs the final reduce over the grouped pairs. When a partitioner

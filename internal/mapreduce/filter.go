@@ -1,8 +1,10 @@
 package mapreduce
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"datanet/internal/cluster"
@@ -326,11 +328,11 @@ func sortedRunningKeys(running map[slotKey]*runAttempt) []slotKey {
 	for k := range running {
 		keys = append(keys, k)
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].node != keys[j].node {
-			return keys[i].node < keys[j].node
+	slices.SortFunc(keys, func(a, b slotKey) int {
+		if a.node != b.node {
+			return cmp.Compare(a.node, b.node)
 		}
-		return keys[i].slot < keys[j].slot
+		return cmp.Compare(a.slot, b.slot)
 	})
 	return keys
 }
@@ -340,11 +342,11 @@ func sortedRunningKeys(running map[slotKey]*runAttempt) []slotKey {
 func (s *filterSim) postRetry(it retryItem) {
 	it.ev = s.kern.Post(sim.Event{At: it.readyAt, Kind: evRetryReady, Prio: 1, K1: int64(it.li)})
 	s.retries = append(s.retries, it)
-	sort.Slice(s.retries, func(a, b int) bool {
-		if s.retries[a].readyAt != s.retries[b].readyAt {
-			return s.retries[a].readyAt < s.retries[b].readyAt
+	slices.SortFunc(s.retries, func(a, b retryItem) int {
+		if a.readyAt != b.readyAt {
+			return cmp.Compare(a.readyAt, b.readyAt)
 		}
-		return s.retries[a].li < s.retries[b].li
+		return cmp.Compare(a.li, b.li)
 	})
 }
 
